@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.h"
 #include "traj/synth.h"
+#include "util/bench_report.h"
 #include "util/metrics.h"
 #include "wall/wall.h"
 
@@ -54,7 +54,8 @@ inline std::optional<BenchCliOptions> parseBenchCli(
 
 /// Writes the JSON report and prints its path; returns false on write
 /// failure (drivers fold it into their exit status).
-inline bool writeReport(const BenchReport& report, const std::string& path) {
+inline bool writeReport(const util::BenchReport& report,
+                        const std::string& path) {
   const bool ok = report.write(path);
   std::printf("report: %s\n", path.c_str());
   return ok;
@@ -62,7 +63,7 @@ inline bool writeReport(const BenchReport& report, const std::string& path) {
 
 /// Copies every global metric under `prefix` into a scenario's counters
 /// (the perf_smoke.py-visible channel).
-inline void attachCounters(BenchScenario& s, const std::string& prefix) {
+inline void attachCounters(util::BenchScenario& s, const std::string& prefix) {
   for (const auto& [name, value] :
        MetricsRegistry::global().snapshot(prefix)) {
     s.counters[name] = static_cast<double>(value);

@@ -1,70 +1,51 @@
 // E8 (Fig. 2 / Sec. V): the pilot-study session instrument.
 //
 // Regenerates: the session-coding summary (tag counts, tool usage,
-// sensemaking-stage mapping, hypothesis cadence) for the scripted analyst
-// session, plus the costs of script replay, auto-coding, and event
-// serialization that record/replay relies on.
+// sensemaking-stage mapping, hypothesis cadence) for the recorded analyst
+// session (replay::scenarios::pilotStudy, the session
+// examples/pilot_study_replay replays), plus the costs of session replay,
+// auto-coding, and the recording serialization that record/replay
+// relies on.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 #include "core/session.h"
+#include "replay/scenarios.h"
 #include "study/coding.h"
 
 using namespace svq;
 
 namespace {
 
-ui::InputScript analystSession() {
-  ui::InputScript script;
-  script.record(0.0, ui::LayoutSwitchEvent{2}, "orient");
-  for (std::uint8_t g = 0; g < 5; ++g) {
-    ui::GroupDefineEvent e;
-    e.groupId = g;
-    e.cellRect = {g * 7, 0, 7, 12};
-    e.filter.side = static_cast<traj::CaptureSide>(g);
-    e.colorIndex = g;
-    script.record(10.0 + g * 4.0, e);
-  }
-  script.record(60.0, ui::PageEvent{+1}, "C: comparing bins");
-  script.record(75.0, ui::PageEvent{-1}, "O: on-trail windier");
-  script.record(120.0, ui::BrushStrokeEvent{0, {-25.0f, 0.0f}, 28.0f},
-                "H: east ants exit west");
-  script.record(125.0, ui::TimeWindowEvent{0.0f, 60.0f});
-  script.record(150.0, ui::PageEvent{+1}, "V: supported");
-  script.record(200.0, ui::BrushClearEvent{255});
-  script.record(210.0, ui::BrushStrokeEvent{1, {0.0f, 0.0f}, 10.0f},
-                "H: droppers search centre");
-  script.record(215.0, ui::TimeWindowEvent{0.0f, 25.0f});
-  script.record(240.0, ui::PageEvent{+1}, "V: supported");
-  script.record(280.0, ui::TimeScaleEvent{0.4f});
-  script.record(300.0, ui::DepthOffsetEvent{-10.0f});
-  script.record(330.0, ui::TimeScaleEvent{0.2f}, "O: helical search loops");
-  return script;
-}
-
-void BM_ScriptReplayThroughApp(benchmark::State& state) {
+void BM_SessionReplayThroughApp(benchmark::State& state) {
   const auto& ds = bench::dataset(500);
-  const ui::InputScript script = analystSession();
+  const replay::Recording session = replay::scenarios::pilotStudy();
   for (auto _ : state) {
     core::Session app(core::SharedContext::create(ds, bench::reducedWall()));
-    const std::size_t applied = app.applyScript(script);
+    std::size_t applied = 0;
+    for (const replay::RecordedStep& step : session.steps()) {
+      if (step.kind == replay::StepKind::kEvent && app.apply(step.event)) {
+        ++applied;
+      }
+    }
     benchmark::DoNotOptimize(applied);
   }
-  state.counters["events"] = static_cast<double>(script.size());
+  state.counters["events"] = static_cast<double>(session.eventCount());
 }
-BENCHMARK(BM_ScriptReplayThroughApp)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SessionReplayThroughApp)->Unit(benchmark::kMillisecond);
 
 void BM_AutoCode(benchmark::State& state) {
-  const ui::InputScript script = analystSession();
+  const replay::Recording session = replay::scenarios::pilotStudy();
   for (auto _ : state) {
-    const auto log = study::autoCode(script);
+    const auto log = study::autoCode(session);
     benchmark::DoNotOptimize(log);
   }
 }
 BENCHMARK(BM_AutoCode)->Unit(benchmark::kMicrosecond);
 
 void BM_SessionStats(benchmark::State& state) {
-  const study::SessionLog log = study::autoCode(analystSession());
+  const study::SessionLog log =
+      study::autoCode(replay::scenarios::pilotStudy());
   for (auto _ : state) {
     auto counts = log.tagCounts();
     auto tools = log.toolUsage();
@@ -78,18 +59,19 @@ void BM_SessionStats(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionStats)->Unit(benchmark::kMicrosecond);
 
-void BM_ScriptSerialization(benchmark::State& state) {
-  const ui::InputScript script = analystSession();
+void BM_RecordingSerialization(benchmark::State& state) {
+  const replay::Recording session = replay::scenarios::pilotStudy();
   for (auto _ : state) {
-    auto restored = ui::InputScript::deserialize(script.serialize());
+    auto restored = replay::Recording::deserialize(session.serialize());
     benchmark::DoNotOptimize(restored);
   }
 }
-BENCHMARK(BM_ScriptSerialization)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RecordingSerialization)->Unit(benchmark::kMicrosecond);
 
 void printContext() {
   std::printf("\n=== E8 / Sec. V: coded pilot session ===\n");
-  const study::SessionLog log = study::autoCode(analystSession());
+  const study::SessionLog log =
+      study::autoCode(replay::scenarios::pilotStudy());
   std::printf("%s\n", log.summaryReport().c_str());
 }
 

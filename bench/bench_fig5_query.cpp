@@ -7,7 +7,7 @@
 // queried in a matter of few seconds" claim reduces computationally to
 // millisecond-scale evaluation plus pre-attentive perception.
 //
-// Writes BENCH_query.json (see bench_json.h; consumed by
+// Writes BENCH_query.json (see util/bench_report.h; consumed by
 // scripts/perf_smoke.py): the incremental-vs-full dab edit ratios plus the
 // SIMD-vs-scalar point-in-brush kernel ratio, which must come with
 // bit-identical outputs (non-zero exit otherwise). --smoke shrinks the
@@ -20,11 +20,11 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "bench_json.h"
 #include "core/hypothesis.h"
 #include "core/query.h"
-#include "core/querykernel.h"
 #include "core/queryengine.h"
+#include "core/querykernel.h"
+#include "util/bench_report.h"
 #include "util/rng.h"
 #include "util/simd.h"
 #include "util/stopwatch.h"
@@ -206,7 +206,7 @@ void printContext() {
 
 /// Headline comparison for the incremental engine: localized dab edit on
 /// the 432-cell scene, incremental vs full re-evaluation.
-void printIncrementalReport(bench::BenchReport& json, bool smoke) {
+void printIncrementalReport(util::BenchReport& json, bool smoke) {
   // Full runs use the paper's 36x12 = 432-cell wall; smoke shrinks it.
   const std::size_t kSceneSize = smoke ? 120 : 432;
   const auto& ds = bench::dataset(kSceneSize);
@@ -259,8 +259,8 @@ void printIncrementalReport(bench::BenchReport& json, bool smoke) {
   incr.counters["reused"] = static_cast<double>(m.lastPassReused);
   incr.counters["cache_hit_rate"] = m.cacheHitRate();
   incr.counters["speedup_vs_full"] =
-      bench::median(incrSamples) > 0.0
-          ? bench::median(fullSamples) / bench::median(incrSamples)
+      util::median(incrSamples) > 0.0
+          ? util::median(fullSamples) / util::median(incrSamples)
           : 0.0;
 
   std::printf("=== incremental engine: localized dab on the %zu-cell scene "
@@ -282,7 +282,7 @@ void printIncrementalReport(bench::BenchReport& json, bool smoke) {
 /// with a bit-identity check between the two paths. Returns false (and the
 /// bench exits non-zero) if the dispatched kernel's output ever differs
 /// from scalar — the determinism contract underneath every query result.
-bool printKernelRatioReport(bench::BenchReport& json, bool smoke) {
+bool printKernelRatioReport(util::BenchReport& json, bool smoke) {
   const float arenaRadius = 50.0f;
   const core::BrushGrid brush = westBrush(arenaRadius);
   const core::BrushGridView view = brush.view();
@@ -313,12 +313,12 @@ bool printKernelRatioReport(bench::BenchReport& json, bool smoke) {
   }
   const bool identical =
       std::memcmp(outScalar.data(), outSimd.data(), n) == 0;
-  const double ratio = bench::median(simdMs) > 0.0
-                           ? bench::median(scalarMs) / bench::median(simdMs)
+  const double ratio = util::median(simdMs) > 0.0
+                           ? util::median(scalarMs) / util::median(simdMs)
                            : 0.0;
 
   auto& s = json.add("query_point_kernel", simdMs);
-  s.counters["scalar_median_ms"] = bench::median(scalarMs);
+  s.counters["scalar_median_ms"] = util::median(scalarMs);
   s.counters["simd_speedup"] = ratio;
   s.counters["bit_identical"] = identical ? 1.0 : 0.0;
   s.counters["points"] = static_cast<double>(n);
@@ -327,7 +327,7 @@ bool printKernelRatioReport(bench::BenchReport& json, bool smoke) {
               util::toString(isa), n);
   std::printf("scalar:   %8.3f ms\nsimd:     %8.3f ms\nratio:    %8.2fx  "
               "outputs %s\n\n",
-              bench::median(scalarMs), bench::median(simdMs), ratio,
+              util::median(scalarMs), util::median(simdMs), ratio,
               identical ? "bit-identical" : "DIFFER");
 
   bool ok = identical;
@@ -356,7 +356,7 @@ int main(int argc, char** argv) {
 
   if (!opt->smoke) printContext();
 
-  bench::BenchReport json;
+  util::BenchReport json;
   printIncrementalReport(json, opt->smoke);
   bool ok = printKernelRatioReport(json, opt->smoke);
   if (!bench::writeReport(json, opt->out)) ok = false;

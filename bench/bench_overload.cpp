@@ -24,7 +24,7 @@
 //   - no wedge: wedged == 0 (no victim attempt over 1 s),
 //   - recovery: recovered == 1 and health() == kHealthy at the end.
 //
-// Writes BENCH_overload.json (bench_json.h; consumed by
+// Writes BENCH_overload.json (util/bench_report.h; consumed by
 // scripts/perf_smoke.py against bench/baselines/BENCH_overload_smoke.json).
 #include <algorithm>
 #include <atomic>
@@ -35,8 +35,8 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "bench_json.h"
 #include "core/sessionservice.h"
+#include "util/bench_report.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
 
@@ -111,7 +111,7 @@ int run(const Options& opt) {
       "%zu submits each\n",
       ds.size(), stormWorkers, cfg.stormTenants, cfg.submitsPerTenant);
 
-  bench::BenchReport report;
+  util::BenchReport report;
   bool ok = true;
   MetricsRegistry& reg = MetricsRegistry::global();
 

@@ -27,7 +27,7 @@
 //   - (full run only) first_pixel median <= 16 ms and time_to_exact
 //     median <= 1.25x full_exact median.
 //
-// Writes BENCH_progressive.json (bench_json.h; consumed by
+// Writes BENCH_progressive.json (util/bench_report.h; consumed by
 // scripts/perf_smoke.py against bench/baselines/
 // BENCH_progressive_smoke.json). --smoke shrinks the store for CI;
 // --out=PATH overrides the report path.
@@ -112,7 +112,7 @@ int run(const Options& opt) {
   core::QueryParams params;
   core::ClusterSceneOptions sceneOptions;
 
-  bench::BenchReport report;
+  util::BenchReport report;
   bool ok = true;
 
   // --- full exact baseline ---------------------------------------------------
@@ -155,7 +155,7 @@ int run(const Options& opt) {
         static_cast<double>(pendingAfterPrepass);
     s.counters["pruned_shards"] = static_cast<double>(prunedShards);
     s.counters["first_pixel_budget_ratio"] =
-        bench::median(firstPixelMs) / kFirstPixelBudgetMs;
+        util::median(firstPixelMs) / kFirstPixelBudgetMs;
   }
 
   // --- time to exact: refine loop to convergence -----------------------------
@@ -185,8 +185,8 @@ int run(const Options& opt) {
     }
   }
   const double exactOverFull =
-      bench::median(fullMs) > 0.0
-          ? bench::median(exactLoopMs) / bench::median(fullMs)
+      util::median(fullMs) > 0.0
+          ? util::median(exactLoopMs) / util::median(fullMs)
           : 0.0;
   {
     auto& s = report.add("time_to_exact", exactLoopMs);
@@ -245,14 +245,14 @@ int run(const Options& opt) {
     std::printf("%-16s %10.3f %10.3f\n", s.name.c_str(), s.medianMs, s.p95Ms);
   }
   std::printf("first pixel:  %.2f ms (budget %.0f ms)\n",
-              bench::median(firstPixelMs), kFirstPixelBudgetMs);
+              util::median(firstPixelMs), kFirstPixelBudgetMs);
   std::printf("time to exact: %.2f ms = %.2fx full exact\n",
-              bench::median(exactLoopMs), exactOverFull);
+              util::median(exactLoopMs), exactOverFull);
 
   if (!opt.smoke) {
-    if (bench::median(firstPixelMs) > kFirstPixelBudgetMs) {
+    if (util::median(firstPixelMs) > kFirstPixelBudgetMs) {
       std::fprintf(stderr, "FAIL: first pixel %.2f ms over the %.0f ms budget\n",
-                   bench::median(firstPixelMs), kFirstPixelBudgetMs);
+                   util::median(firstPixelMs), kFirstPixelBudgetMs);
       ok = false;
     }
     if (exactOverFull > kExactOverFullCeiling) {

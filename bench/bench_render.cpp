@@ -26,7 +26,7 @@
 //     full serial redraw, and delta broadcast bytes <= 10% of full-scene
 //     bytes per frame.
 //
-// Writes BENCH_render.json (see bench_json.h; consumed by
+// Writes BENCH_render.json (see util/bench_report.h; consumed by
 // scripts/perf_smoke.py). --smoke shrinks the wall/layout/frame count for
 // CI; --out=PATH overrides the report path.
 #include <algorithm>
@@ -37,11 +37,11 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "bench_json.h"
 #include "cluster/clusterapp.h"
 #include "core/session.h"
 #include "render/kernels.h"
 #include "render/pipeline.h"
+#include "util/bench_report.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -137,7 +137,7 @@ int run(const Options& opt) {
               cells, frames.size(), frames.size() - 1, wall.totalPxW(),
               wall.totalPxH());
 
-  bench::BenchReport report;
+  util::BenchReport report;
   MetricsRegistry& reg = MetricsRegistry::global();
   const render::Eye eye = render::Eye::kCenter;  // zero parallax: legacy
                                                  // and pipeline pixels
@@ -188,8 +188,8 @@ int run(const Options& opt) {
     s.counters["dirty_fraction"] =
         dirtyCells / static_cast<double>((frames.size() - 1) * cells);
     s.counters["speedup_vs_full"] =
-        bench::median(serialMs) > 0.0
-            ? bench::median(fullMs) / bench::median(serialMs)
+        util::median(serialMs) > 0.0
+            ? util::median(fullMs) / util::median(serialMs)
             : 0.0;
 
     // Cache restore: damage the target, recomposite from the cell cache,
@@ -297,11 +297,11 @@ int run(const Options& opt) {
       ok = false;
     }
     const double ratio =
-        bench::median(simdMs) > 0.0
-            ? bench::median(scalarMs) / bench::median(simdMs)
+        util::median(simdMs) > 0.0
+            ? util::median(scalarMs) / util::median(simdMs)
             : 0.0;
     auto& s = report.add("render_span_kernel", simdMs);
-    s.counters["scalar_median_ms"] = bench::median(scalarMs);
+    s.counters["scalar_median_ms"] = util::median(scalarMs);
     s.counters["simd_speedup"] = ratio;
     s.counters["pixels"] = static_cast<double>(n);
     std::printf("blend span kernel:     %s %.2fx vs scalar (%zu px)\n",
@@ -315,8 +315,8 @@ int run(const Options& opt) {
   }
 
   // --- report ----------------------------------------------------------------
-  const double speedup = bench::median(serialMs) > 0.0
-                             ? bench::median(fullMs) / bench::median(serialMs)
+  const double speedup = util::median(serialMs) > 0.0
+                             ? util::median(fullMs) / util::median(serialMs)
                              : 0.0;
   std::printf("%-24s %10s %10s\n", "scenario", "median ms", "p95 ms");
   for (const auto& s : report.scenarios()) {

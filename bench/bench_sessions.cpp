@@ -26,7 +26,7 @@
 //   - (full run only) the 256-session scenario sustains all 256 tenants
 //     with apply p99 <= 200 ms, and its cache cross-hit-rate >= 0.5.
 //
-// Writes BENCH_sessions.json (bench_json.h; consumed by
+// Writes BENCH_sessions.json (util/bench_report.h; consumed by
 // scripts/perf_smoke.py against bench/baselines/BENCH_sessions_smoke.json).
 #include <atomic>
 #include <cmath>
@@ -37,9 +37,9 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "bench_json.h"
 #include "core/sessionservice.h"
 #include "render/pipeline.h"
+#include "util/bench_report.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
 
@@ -114,7 +114,7 @@ struct ScaleOutcome {
 /// submit+drain and renders its wall every `renderEvery` events.
 ScaleOutcome runScale(std::size_t n, const traj::TrajectoryDataset& ds,
                       const wall::WallSpec& wall, unsigned threads,
-                      bench::BenchReport& report) {
+                      util::BenchReport& report) {
   ScaleOutcome out;
   MetricsRegistry& reg = MetricsRegistry::global();
   reg.reset("sessions.");
@@ -219,7 +219,7 @@ ScaleOutcome runScale(std::size_t n, const traj::TrajectoryDataset& ds,
 /// be bit-identical — concurrency and cross-session caching must never
 /// change a single pixel of anyone's wall.
 bool isolationCheck(const traj::TrajectoryDataset& ds,
-                    const wall::WallSpec& wall, bench::BenchReport& report) {
+                    const wall::WallSpec& wall, util::BenchReport& report) {
   constexpr std::size_t kTenants = 8;
   std::vector<std::vector<ui::Event>> scripts;
   for (std::size_t s = 0; s < kTenants; ++s) {
@@ -297,7 +297,7 @@ int run(const Options& opt) {
   std::printf("%zu trajectories, %dx%d px wall, %u worker threads\n",
               ds.size(), wall.totalPxW(), wall.totalPxH(), threads);
 
-  bench::BenchReport report;
+  util::BenchReport report;
   bool ok = true;
   double p99At256 = 0.0;
   double crossAt256 = 0.0;

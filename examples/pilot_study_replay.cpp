@@ -1,16 +1,16 @@
 // pilot_study_replay — the Sec. V pilot user study as a replayable,
 // auto-coded session.
 //
-// A scripted analyst session (modelled on the behavioural ecologist's
-// workflow the paper reports: binning, comparison, hypothesis after
-// hypothesis, each verified with a quick visual query) is replayed
-// through the replay engine (replay::Runner): the script is promoted to
-// a replay::Recording, every event drives a real core::SessionService
-// and every step's frame is rendered headless and hash-stamped — the
-// same determinism machinery the CI fleet runs (DESIGN.md §13). The
-// think-aloud notes are auto-coded with the paper's tagging scheme
-// (observation / hypothesis / tool use + comparison / conclusion), and
-// the session statistics that ground the Sec. VI discussion are printed.
+// A recorded analyst session (replay::scenarios::pilotStudy, modelled on
+// the behavioural ecologist's workflow the paper reports: binning,
+// comparison, hypothesis after hypothesis, each verified with a quick
+// visual query) is replayed through the replay engine (replay::Runner):
+// every event drives a real core::SessionService and every step's frame
+// is rendered headless and hash-stamped — the same determinism machinery
+// the CI fleet runs (DESIGN.md §13). The think-aloud notes are
+// auto-coded with the paper's tagging scheme (observation / hypothesis /
+// tool use + comparison / conclusion), and the session statistics that
+// ground the Sec. VI discussion are printed.
 //
 // Usage: pilot_study_replay
 #include <cstdio>
@@ -19,100 +19,18 @@
 #include "core/hypothesis.h"
 #include "core/session.h"
 #include "replay/runner.h"
+#include "replay/scenarios.h"
 #include "study/coding.h"
 #include "study/timeline.h"
 #include "traj/synth.h"
 
 using namespace svq;
 
-namespace {
-
-/// The scripted session, with timestamps mimicking a ~7 minute sitting.
-ui::InputScript analystSession(float arenaRadius) {
-  ui::InputScript script;
-  // Orientation: densest layout, five condition bins.
-  script.record(0.0, ui::LayoutSwitchEvent{2}, "switch to 36x12 layout");
-  auto group = [&](double t, std::uint8_t id, int x, int w,
-                   traj::CaptureSide side, const char* name) {
-    ui::GroupDefineEvent g;
-    g.groupId = id;
-    g.cellRect = {x, 0, w, 12};
-    g.filter.side = side;
-    g.colorIndex = id;
-    g.name = name;
-    script.record(t, g);
-  };
-  group(10.0, 0, 0, 8, traj::CaptureSide::kOnTrail, "ON TRAIL");
-  group(14.0, 1, 8, 7, traj::CaptureSide::kWest, "WEST");
-  group(18.0, 2, 15, 7, traj::CaptureSide::kEast, "EAST");
-  group(22.0, 3, 22, 7, traj::CaptureSide::kNorth, "NORTH");
-  group(26.0, 4, 29, 7, traj::CaptureSide::kSouth, "SOUTH");
-
-  // Low-level inferences from comparing the bins (Sec. VI.A).
-  script.record(60.0, ui::PageEvent{+1},
-                "C: comparing on-trail against off-trail bins");
-  script.record(75.0, ui::PageEvent{-1},
-                "O: on-trail trajectories look more windy, off-trail more "
-                "direct");
-
-  // Hypothesis 1 (Fig. 5): east-captured ants exit west.
-  script.record(120.0,
-                ui::BrushStrokeEvent{0, {-arenaRadius * 0.5f, 0.0f},
-                                     arenaRadius * 0.55f},
-                "H: ants captured east of the trail exit the arena from "
-                "the west side");
-  script.record(125.0,
-                ui::BrushStrokeEvent{0, {-arenaRadius * 0.3f, arenaRadius * 0.35f},
-                                     arenaRadius * 0.35f});
-  script.record(128.0,
-                ui::BrushStrokeEvent{0, {-arenaRadius * 0.3f, -arenaRadius * 0.35f},
-                                     arenaRadius * 0.35f});
-  script.record(150.0, ui::PageEvent{+1},
-                "V: red concentrated in the east bin - supported");
-
-  // Hypothesis 2 (Sec. V.B): seed-droppers search the centre early.
-  script.record(200.0, ui::BrushClearEvent{255}, "clear previous query");
-  script.record(210.0,
-                ui::BrushStrokeEvent{1, {0.0f, 0.0f}, arenaRadius * 0.2f},
-                "H: ants that dropped their seed linger in the centre "
-                "searching for it");
-  script.record(215.0, ui::TimeWindowEvent{0.0f, 25.0f},
-                "narrow to the start of the experiment");
-  script.record(240.0, ui::PageEvent{+1},
-                "V: green perpendicular segments in the dropped-seed "
-                "trajectories - supported");
-
-  // Ergonomic adjustments while inspecting depth (Sec. IV.C.2).
-  script.record(280.0, ui::TimeScaleEvent{0.4f},
-                "exaggerate time axis to read periodicity");
-  script.record(300.0, ui::DepthOffsetEvent{-10.0f},
-                "push content back for comfortable viewing");
-  script.record(330.0, ui::TimeScaleEvent{0.2f},
-                "O: search loops show as helical structure in depth");
-
-  // Wrap-up comparison.
-  script.record(400.0, ui::TimeWindowEvent{0.0f, 1e9f}, "reset filter");
-  script.record(420.0, ui::PageEvent{+1},
-                "C: checking the remaining pages for counter-examples");
-  return script;
-}
-
-}  // namespace
-
 int main() {
-  // The study world, as a replayable WorldSpec: the dataset is
-  // regenerated from its seed inside the runner, so the whole session is
-  // a self-contained recording (shareable as a .svqr file).
-  replay::WorldSpec world;
-  world.datasetSeed = 808;
-  world.trajectoryCount = 500;
-  world.tile = wall::TileSpec{320, 180, 1150.0f, 647.0f, 4.0f};
-  world.tileCols = 6;
-  world.tileRows = 2;
-
-  const ui::InputScript script = analystSession(traj::ArenaSpec{}.radiusCm);
-  const replay::Recording recording =
-      replay::Recording::fromScript(world, script);
+  // The study session is a self-contained recording (shareable as a
+  // .svqr file): the dataset is regenerated from its WorldSpec seed
+  // inside the runner.
+  const replay::Recording recording = replay::scenarios::pilotStudy();
 
   replay::Runner runner(recording);
   const replay::RunReport report = runner.run();
@@ -120,7 +38,8 @@ int main() {
 
   std::printf("== session replay (headless, hash-stamped) ==\n");
   std::printf("applied %zu/%zu events over %.0f s of session time\n",
-              report.eventsApplied, script.size(), script.durationS());
+              report.eventsApplied, recording.eventCount(),
+              recording.steps().back().timeS);
   std::printf("replayed %zu steps in %.1f ms, fleet hash %016llx\n",
               report.steps.size(), report.totalMs,
               static_cast<unsigned long long>(report.fleetHash()));
@@ -139,7 +58,7 @@ int main() {
   }
 
   // Auto-code the session with the paper's tagging scheme.
-  const study::SessionLog log = study::autoCode(script);
+  const study::SessionLog log = study::autoCode(recording);
   std::printf("== coded session (Sec. V instrument) ==\n%s\n",
               log.summaryReport().c_str());
 

@@ -4,15 +4,15 @@
 Usage: perf_smoke.py <report.json> <baseline.json> [tolerance]
        perf_smoke.py --info <report.json> [...]
 
-`--info` renders one or more bench_json reports (e.g. the replay
+`--info` renders one or more BenchReport JSON reports (e.g. the replay
 harness's timing logs) without gating: every scenario's median/p95 and
 counters are printed and the exit code is always 0. Replay timing is
 informational by design — determinism is asserted by frame hashes, while
 wall-clock varies across runners.
 
-Both files are bench_json.h-shaped reports. Absolute frame times vary
-across runners, so the gate compares the machine-independent ratio
-metrics each bench computes from a single run.
+Both files are BenchReport-shaped reports (src/util/bench_report.h).
+Absolute frame times vary across runners, so the gate compares the
+machine-independent ratio metrics each bench computes from a single run.
 
 Which metrics to compare comes from the baseline itself: a top-level
 "checks" array of {"scenario", "counter", "direction"} objects

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ui/script.h"
-
 namespace svq::core {
 
 Session::Session(std::shared_ptr<const SharedContext> context)
@@ -162,14 +160,6 @@ bool Session::apply(const ui::Event& event) {
     progressive_->dirty = true;
   }
   return ok;
-}
-
-std::size_t Session::applyScript(const ui::InputScript& script) {
-  std::size_t applied = 0;
-  script.replay([this, &applied](const ui::TimedEvent& e) {
-    if (apply(e.event)) ++applied;
-  });
-  return applied;
 }
 
 render::SceneModel Session::buildScene() {

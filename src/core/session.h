@@ -41,7 +41,6 @@
 #include "traj/dataset.h"
 #include "ui/controls.h"
 #include "ui/events.h"
-#include "ui/script.h"
 #include "wall/wall.h"
 
 namespace svq::core {
@@ -109,9 +108,6 @@ class Session {
   /// Applies one interaction event. Returns false for events that could
   /// not be applied (e.g. invalid group rect).
   bool apply(const ui::Event& event);
-
-  /// Applies every event of a script in order; returns applied count.
-  std::size_t applyScript(const ui::InputScript& script);
 
   /// Recomputes the cell assignment after direct edits via groups().
   /// (Event-driven edits refresh automatically.)

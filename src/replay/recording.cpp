@@ -119,17 +119,6 @@ bool getWorld(net::MessageBuffer& buf, WorldSpec& w, std::uint32_t version) {
 
 }  // namespace
 
-Recording Recording::fromScript(WorldSpec world,
-                                const ui::InputScript& script) {
-  Recording rec;
-  rec.world = world;
-  rec.admit(0, script.empty() ? 0.0 : script.events().front().timeS);
-  for (const ui::TimedEvent& e : script.events()) {
-    rec.event(0, e.timeS, e.event, e.note);
-  }
-  return rec;
-}
-
 std::size_t Recording::eventCount() const {
   return static_cast<std::size_t>(
       std::count_if(steps_.begin(), steps_.end(), [](const RecordedStep& s) {

@@ -1,9 +1,10 @@
 // recording.h — the versioned container for recorded interaction sessions.
 //
-// ui::InputScript captures one explorer's event list; a scale test needs
-// more: the *whole* input side of a multi-tenant run, plus everything
-// required to rebuild the world it ran against bit-identically. A
-// Recording is exactly that closure:
+// A Recording is the one container for recorded interaction: the *whole*
+// input side of a run — from a single analyst's annotated session (the
+// pilot study, scenarios::pilotStudy) to a multi-tenant service stream —
+// plus everything required to rebuild the world it ran against
+// bit-identically. It is exactly that closure:
 //
 //   * WorldSpec — the synthetic-dataset seed and size, the wall geometry
 //     and the fault-injector plans (net wire faults for the delta
@@ -20,7 +21,7 @@
 // net::MessageBuffer; deserialize() is hardened the way the SVQT parser
 // is: payload-bounded counts, finite-timestamp validation, typed
 // rejection (nullopt) instead of crashes on truncated or bit-flipped
-// input (tests/ui_script_fuzz_test.cpp fuzzes it).
+// input (tests/replay_recording_fuzz_test.cpp fuzzes it).
 //
 // replay::Recorder (below) fills a Recording from a live
 // core::SessionService via the service's observation hooks, assigning
@@ -39,7 +40,6 @@
 #include "core/sessionservice.h"
 #include "net/message.h"
 #include "ui/events.h"
-#include "ui/script.h"
 #include "wall/wall.h"
 
 namespace svq::replay {
@@ -201,11 +201,6 @@ class Recording {
   void close(std::uint32_t tenant, double timeS) {
     steps_.push_back({StepKind::kClose, tenant, timeS, {}, {}, 0});
   }
-
-  /// Single-tenant recording from a classic InputScript (the
-  /// pilot-study migration path): admit track 0, then every scripted
-  /// event in order with its timestamp and note.
-  static Recording fromScript(WorldSpec world, const ui::InputScript& script);
 
   // --- inspection --------------------------------------------------------
   const std::vector<RecordedStep>& steps() const { return steps_; }

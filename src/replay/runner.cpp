@@ -1,10 +1,8 @@
 #include "replay/runner.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <stdexcept>
-
 #include <filesystem>
+#include <stdexcept>
 
 #include "cluster/scene_serde.h"
 #include "core/clusterquery.h"
@@ -13,6 +11,7 @@
 #include "render/pipeline.h"
 #include "traj/shardstore.h"
 #include "traj/synth.h"
+#include "util/bench_report.h"
 #include "util/clock.h"
 #include "util/stopwatch.h"
 #include "util/threadpool.h"
@@ -30,21 +29,6 @@ std::uint64_t fnvMix(std::uint64_t h, std::uint64_t v) {
     h *= kFnvPrime;
   }
   return h;
-}
-
-double percentile95(std::vector<double> samples) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t rank = (samples.size() * 95 + 99) / 100;
-  return samples[rank == 0 ? 0 : rank - 1];
-}
-
-double medianOf(std::vector<double> samples) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t mid = samples.size() / 2;
-  if (samples.size() % 2 == 1) return samples[mid];
-  return 0.5 * (samples[mid - 1] + samples[mid]);
 }
 
 }  // namespace
@@ -180,10 +164,10 @@ RunReport Runner::run() {
         static_cast<unsigned>(options_.renderThreads));
   }
   if (options_.injectWireFaults) {
-    net::FaultInjector::Plan plan;
-    plan.dropProbability = spec.wireDropProbability;
-    plan.seed = spec.wireFaultSeed;
-    w.wireFaults = std::make_unique<net::FaultInjector>(plan);
+    net::FaultInjector::Plan wire;
+    wire.dropProbability = spec.wireDropProbability;
+    wire.seed = spec.wireFaultSeed;
+    w.wireFaults = std::make_unique<net::FaultInjector>(wire);
   }
   w.tenants.resize(recording_.tenantCount());
 
@@ -378,19 +362,22 @@ void Runner::renderStep(World& w, std::uint32_t tenantIndex, StepTrace& trace,
     }
     toRender = &tenant.receiver.scene();
   }
-  // Progressive sessions build scenes over their cluster-averages dataset
-  // (Session::sceneDataset), not the raw world dataset. The pointer stays
-  // valid after withSession returns: the averages live until the
-  // session's next buildScene, and the runner steps serially.
-  const traj::TrajectoryDataset* renderDataset = &w.dataset;
-  if (w.explorer != nullptr) {
-    w.service->withSession(tenant.id, [&](core::Session& s) {
-      renderDataset = &s.sceneDataset();
-    });
-  }
-  tenant.pipeline->render(*toRender, *renderDataset,
-                          render::Canvas::whole(tenant.fb), options_.eye);
+  // Render under the tenant's lock against the dataset the scene's cells
+  // index (Session::sceneDataset: the cluster averages in progressive
+  // mode, the world dataset otherwise), so no dataset reference outlives
+  // the lock. A tenant the service no longer knows marks the step not
+  // applied.
+  const core::Status rendered =
+      w.service->withSession(tenant.id, [&](core::Session& s) {
+        tenant.pipeline->render(*toRender, s.sceneDataset(),
+                                render::Canvas::whole(tenant.fb),
+                                options_.eye);
+      });
   trace.rasterUs = raster.elapsedMicros();
+  if (!rendered.isOk()) {
+    trace.applied = false;
+    return;
+  }
   trace.frameHash = tenant.fb.contentHash();
 }
 
@@ -412,11 +399,6 @@ std::uint64_t RunReport::fleetHash() const {
 
 bool RunReport::writeTimingLog(const std::string& path,
                                const std::string& scenario) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "replay: cannot write %s\n", path.c_str());
-    return false;
-  }
   std::vector<double> stepMs, applyUs, buildUs, rasterUs;
   stepMs.reserve(steps.size());
   double applyTotal = 0.0, buildTotal = 0.0, rasterTotal = 0.0;
@@ -429,33 +411,26 @@ bool RunReport::writeTimingLog(const std::string& path,
     buildTotal += s.buildUs;
     rasterTotal += s.rasterUs;
   }
-  std::fprintf(f,
-               "{\n  \"scenarios\": [\n    {\n      \"name\": \"%s\",\n"
-               "      \"median_ms\": %.6f,\n      \"p95_ms\": %.6f,\n"
-               "      \"counters\": {\n",
-               scenario.c_str(), medianOf(stepMs), percentile95(stepMs));
-  const auto counter = [f](const char* name, double value, bool last = false) {
-    std::fprintf(f, "        \"%s\": %.6f%s\n", name, value, last ? "" : ",");
+  util::BenchReport log;
+  log.add(scenario, stepMs).counters = {
+      {"steps", static_cast<double>(steps.size())},
+      {"events_applied", static_cast<double>(eventsApplied)},
+      {"events_rejected", static_cast<double>(eventsRejected)},
+      {"events_shed", static_cast<double>(eventsShed)},
+      {"events_submitted", static_cast<double>(eventsSubmitted)},
+      {"refine_steps", static_cast<double>(refineSteps)},
+      {"shards_refined", static_cast<double>(shardsRefined)},
+      {"apply_us_total", applyTotal},
+      {"apply_us_p95", util::p95(applyUs)},
+      {"build_us_total", buildTotal},
+      {"build_us_p95", util::p95(buildUs)},
+      {"raster_us_total", rasterTotal},
+      {"raster_us_p95", util::p95(rasterUs)},
+      {"packets_dropped", static_cast<double>(packetsDropped)},
+      {"resyncs", static_cast<double>(resyncs)},
+      {"total_ms", totalMs},
   };
-  counter("steps", static_cast<double>(steps.size()));
-  counter("events_applied", static_cast<double>(eventsApplied));
-  counter("events_rejected", static_cast<double>(eventsRejected));
-  counter("events_shed", static_cast<double>(eventsShed));
-  counter("events_submitted", static_cast<double>(eventsSubmitted));
-  counter("refine_steps", static_cast<double>(refineSteps));
-  counter("shards_refined", static_cast<double>(shardsRefined));
-  counter("apply_us_total", applyTotal);
-  counter("apply_us_p95", percentile95(applyUs));
-  counter("build_us_total", buildTotal);
-  counter("build_us_p95", percentile95(buildUs));
-  counter("raster_us_total", rasterTotal);
-  counter("raster_us_p95", percentile95(rasterUs));
-  counter("packets_dropped", static_cast<double>(packetsDropped));
-  counter("resyncs", static_cast<double>(resyncs));
-  counter("total_ms", totalMs, true);
-  std::fprintf(f, "      }\n    }\n  ]\n}\n");
-  std::fclose(f);
-  return true;
+  return log.write(path);
 }
 
 }  // namespace svq::replay

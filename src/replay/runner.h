@@ -13,7 +13,7 @@
 //     and under injected wire faults (the resync path must converge to
 //     the same pixels);
 //   * a perftool-style timing log — per-step apply/build/raster micros,
-//     aggregated and exportable as a bench_json-shaped JSON report next
+//     aggregated and exportable as a util::BenchReport JSON report next
 //     to the existing BENCH_*.json files (scripts/perf_smoke.py --info).
 //
 // Delta mode mirrors the cluster broadcast protocol end to end per
@@ -98,7 +98,7 @@ struct RunReport {
   /// fleet hashes <=> equal per-step hash sequences.
   std::uint64_t fleetHash() const;
 
-  /// Writes the timing log as a bench_json-shaped JSON report (one
+  /// Writes the timing log as a util::BenchReport JSON report (one
   /// scenario named `scenario`, median/p95 per-step ms plus counters).
   /// scripts/perf_smoke.py --info renders it; it is informational, never
   /// a gate.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "traj/dataset.h"
 #include "util/rng.h"
 
 namespace svq::replay::scenarios {
@@ -325,6 +326,76 @@ Recording overloadSoak() {
   for (int i = 0; i < 30; ++i) victimApply(i % kVictims, 200 + i);
   rec.event(0, t += 1, ui::BrushClearEvent{255});
   rec.event(1, t += 1, ui::BrushClearEvent{255});
+  return rec;
+}
+
+Recording pilotStudy() {
+  Recording rec;
+  // The study world: 500 trajectories on a 6x2 wall of 320x180 tiles.
+  rec.world.datasetSeed = 808;
+  rec.world.trajectoryCount = 500;
+  rec.world.tile = wall::TileSpec{320, 180, 1150.0f, 647.0f, 4.0f};
+  rec.world.tileCols = 6;
+  rec.world.tileRows = 2;
+
+  const float r = traj::ArenaSpec{}.radiusCm;
+  const auto at = [&](double t, ui::Event e, const char* note = "") {
+    rec.event(0, t, std::move(e), note);
+  };
+  rec.admit(0, 0.0);
+  // Orientation: densest layout, five condition bins.
+  at(0.0, ui::LayoutSwitchEvent{2}, "switch to 36x12 layout");
+  const auto bin = [&](double t, std::uint8_t id, int x, int w,
+                       traj::CaptureSide side, const char* name) {
+    ui::GroupDefineEvent g;
+    g.groupId = id;
+    g.cellRect = {x, 0, w, 12};
+    g.filter.side = side;
+    g.colorIndex = id;
+    g.name = name;
+    at(t, g);
+  };
+  bin(10.0, 0, 0, 8, traj::CaptureSide::kOnTrail, "ON TRAIL");
+  bin(14.0, 1, 8, 7, traj::CaptureSide::kWest, "WEST");
+  bin(18.0, 2, 15, 7, traj::CaptureSide::kEast, "EAST");
+  bin(22.0, 3, 22, 7, traj::CaptureSide::kNorth, "NORTH");
+  bin(26.0, 4, 29, 7, traj::CaptureSide::kSouth, "SOUTH");
+
+  // Low-level inferences from comparing the bins (Sec. VI.A).
+  at(60.0, ui::PageEvent{+1}, "C: comparing on-trail against off-trail bins");
+  at(75.0, ui::PageEvent{-1},
+     "O: on-trail trajectories look more windy, off-trail more direct");
+
+  // Hypothesis 1 (Fig. 5): east-captured ants exit west.
+  at(120.0, stroke(0, -r * 0.5f, 0.0f, r * 0.55f),
+     "H: ants captured east of the trail exit the arena from the west side");
+  at(125.0, stroke(0, -r * 0.3f, r * 0.35f, r * 0.35f));
+  at(128.0, stroke(0, -r * 0.3f, -r * 0.35f, r * 0.35f));
+  at(150.0, ui::PageEvent{+1},
+     "V: red concentrated in the east bin - supported");
+
+  // Hypothesis 2 (Sec. V.B): seed-droppers search the centre early.
+  at(200.0, ui::BrushClearEvent{255}, "clear previous query");
+  at(210.0, stroke(1, 0.0f, 0.0f, r * 0.2f),
+     "H: ants that dropped their seed linger in the centre searching for it");
+  at(215.0, ui::TimeWindowEvent{0.0f, 25.0f},
+     "narrow to the start of the experiment");
+  at(240.0, ui::PageEvent{+1},
+     "V: green perpendicular segments in the dropped-seed trajectories - "
+     "supported");
+
+  // Ergonomic adjustments while inspecting depth (Sec. IV.C.2).
+  at(280.0, ui::TimeScaleEvent{0.4f},
+     "exaggerate time axis to read periodicity");
+  at(300.0, ui::DepthOffsetEvent{-10.0f},
+     "push content back for comfortable viewing");
+  at(330.0, ui::TimeScaleEvent{0.2f},
+     "O: search loops show as helical structure in depth");
+
+  // Wrap-up comparison.
+  at(400.0, ui::TimeWindowEvent{0.0f, 1e9f}, "reset filter");
+  at(420.0, ui::PageEvent{+1},
+     "C: checking the remaining pages for counter-examples");
   return rec;
 }
 

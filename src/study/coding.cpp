@@ -114,36 +114,38 @@ std::string SessionLog::summaryReport() const {
   return out.str();
 }
 
-SessionLog autoCode(const ui::InputScript& script) {
+SessionLog autoCode(const replay::Recording& recording) {
   SessionLog log;
   bool hypothesisOpen = false;
-  script.replay([&](const ui::TimedEvent& te) {
-    const std::string tool = ui::eventTypeName(te.event);
+  for (const replay::RecordedStep& step : recording.steps()) {
+    if (step.kind != replay::StepKind::kEvent) continue;
+    const std::string tool = ui::eventTypeName(step.event);
+    const std::string& note = step.note;
 
     // Think-aloud notes first: they precede the interaction they motivate.
-    if (te.note.rfind("O:", 0) == 0) {
-      log.add({te.timeS, CodingTag::kObservation, "", te.note.substr(2)});
-    } else if (te.note.rfind("H:", 0) == 0) {
-      log.add({te.timeS, CodingTag::kHypothesis, "", te.note.substr(2)});
+    if (note.rfind("O:", 0) == 0) {
+      log.add({step.timeS, CodingTag::kObservation, "", note.substr(2)});
+    } else if (note.rfind("H:", 0) == 0) {
+      log.add({step.timeS, CodingTag::kHypothesis, "", note.substr(2)});
       hypothesisOpen = true;
-    } else if (te.note.rfind("C:", 0) == 0) {
-      log.add({te.timeS, CodingTag::kComparison, "", te.note.substr(2)});
-    } else if (te.note.rfind("V:", 0) == 0) {
-      log.add({te.timeS, CodingTag::kConclusion, "", te.note.substr(2)});
+    } else if (note.rfind("C:", 0) == 0) {
+      log.add({step.timeS, CodingTag::kComparison, "", note.substr(2)});
+    } else if (note.rfind("V:", 0) == 0) {
+      log.add({step.timeS, CodingTag::kConclusion, "", note.substr(2)});
       hypothesisOpen = false;
     }
 
-    log.add({te.timeS, CodingTag::kToolUse, tool, te.note});
+    log.add({step.timeS, CodingTag::kToolUse, tool, note});
 
     // A brush stroke or temporal-filter change while a hypothesis is open
     // is the visual query that tests it.
     const bool isQueryTool =
-        std::holds_alternative<ui::BrushStrokeEvent>(te.event) ||
-        std::holds_alternative<ui::TimeWindowEvent>(te.event);
+        std::holds_alternative<ui::BrushStrokeEvent>(step.event) ||
+        std::holds_alternative<ui::TimeWindowEvent>(step.event);
     if (hypothesisOpen && isQueryTool) {
-      log.add({te.timeS, CodingTag::kHypothesisTest, tool, te.note});
+      log.add({step.timeS, CodingTag::kHypothesisTest, tool, note});
     }
-  });
+  }
   return log;
 }
 

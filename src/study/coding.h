@@ -4,9 +4,9 @@
 // researcher (a) made an observation about the data, (b) created a
 // hypothesis, and (c) used an interactive tool together with the question
 // being answered. This module is that instrument in computable form: a
-// typed session log, an auto-coder that derives tags from a replayed
-// interaction script (notes prefixed "O:"/"H:"/"T:"/"C:" mark think-aloud
-// content), and summary statistics that map behaviour onto the
+// typed session log, an auto-coder that derives tags from a recorded
+// session (notes prefixed "O:"/"H:"/"C:"/"V:" mark think-aloud content),
+// and summary statistics that map behaviour onto the
 // Pirolli–Card sensemaking stages of Fig. 2.
 #pragma once
 
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "ui/script.h"
+#include "replay/recording.h"
 
 namespace svq::study {
 
@@ -94,12 +94,15 @@ class SessionLog {
   std::vector<CodedEvent> events_;
 };
 
-/// Auto-codes a replayed interaction script:
+/// Auto-codes a recorded session: its kEvent steps, in recorded order,
+/// with their notes (lifecycle, submit and refine steps carry no
+/// think-aloud content and are skipped). Code a multi-tenant recording
+/// one analyst at a time through Recording::tenantSlice.
 ///  * every event yields a kToolUse code with the event type as tool;
 ///  * brush strokes/time-window changes following a hypothesis note are
 ///    additionally coded kHypothesisTest;
 ///  * notes are scanned for prefixes: "O:" observation, "H:" hypothesis,
 ///    "C:" comparison, "V:" conclusion (verdict).
-SessionLog autoCode(const ui::InputScript& script);
+SessionLog autoCode(const replay::Recording& recording);
 
 }  // namespace svq::study

@@ -90,14 +90,6 @@ using Event =
                  DepthOffsetEvent, TimeScaleEvent, LayoutSwitchEvent,
                  GroupDefineEvent, GroupClearEvent, PageEvent>;
 
-/// An event stamped with session time (seconds since session start) and an
-/// optional free-text analyst note (the study's think-aloud annotations).
-struct TimedEvent {
-  double timeS = 0.0;
-  Event event;
-  std::string note;
-};
-
 /// Short type name for logs/coding ("brush_stroke", "time_window", ...).
 std::string eventTypeName(const Event& e);
 

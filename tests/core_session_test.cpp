@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "replay/recording.h"
 #include "traj/synth.h"
 
 namespace svq::core {
@@ -183,12 +184,18 @@ TEST_F(SessionTest, GroupBackgroundAppearsInScene) {
 }
 
 TEST_F(SessionTest, ScriptReplayAppliesEverything) {
-  ui::InputScript script;
-  script.record(0.0, ui::LayoutSwitchEvent{2});
-  script.record(1.0, ui::BrushStrokeEvent{0, {-20.0f, 0.0f}, 10.0f},
-                "H: east ants go west");
-  script.record(2.0, ui::TimeWindowEvent{0.0f, 30.0f});
-  const std::size_t applied = app_.applyScript(script);
+  replay::Recording script;
+  script.admit(0, 0.0);
+  script.event(0, 0.0, ui::LayoutSwitchEvent{2});
+  script.event(0, 1.0, ui::BrushStrokeEvent{0, {-20.0f, 0.0f}, 10.0f},
+               "H: east ants go west");
+  script.event(0, 2.0, ui::TimeWindowEvent{0.0f, 30.0f});
+  std::size_t applied = 0;
+  for (const replay::RecordedStep& step : script.steps()) {
+    if (step.kind == replay::StepKind::kEvent && app_.apply(step.event)) {
+      ++applied;
+    }
+  }
   EXPECT_EQ(applied, 3u);
   EXPECT_EQ(app_.layout().cellCount(), 432u);
   EXPECT_FALSE(app_.brush().empty());

@@ -7,6 +7,7 @@
 #include "cluster/clusterapp.h"
 #include "core/hypothesis.h"
 #include "core/session.h"
+#include "replay/recording.h"
 #include "study/coding.h"
 #include "traj/synth.h"
 
@@ -23,10 +24,11 @@ wall::WallSpec miniPaperWall() {
   return wall::WallSpec(tile, 6, 2);
 }
 
-/// The Fig. 3 + Fig. 5 analyst session as a script.
-ui::InputScript analystSession() {
-  ui::InputScript script;
-  script.record(0.0, ui::LayoutSwitchEvent{2}, "switch to 36x12");
+/// The Fig. 3 + Fig. 5 analyst session as a single-tenant recording.
+replay::Recording analystSession() {
+  replay::Recording script;
+  script.admit(0, 0.0);
+  script.event(0, 0.0, ui::LayoutSwitchEvent{2}, "switch to 36x12");
   // Five Fig. 3 bins over 36 columns: bands of 8/7/7/7/7.
   auto defineGroup = [&](double t, std::uint8_t id, int x, int w,
                          traj::CaptureSide side, std::uint8_t color,
@@ -37,7 +39,7 @@ ui::InputScript analystSession() {
     g.filter.side = side;
     g.colorIndex = color;
     g.name = name;
-    script.record(t, g);
+    script.event(0, t, g);
   };
   defineGroup(5.0, 0, 0, 8, traj::CaptureSide::kOnTrail, 0, "ON TRAIL");
   defineGroup(6.0, 1, 8, 7, traj::CaptureSide::kWest, 1, "WEST");
@@ -45,11 +47,23 @@ ui::InputScript analystSession() {
   defineGroup(8.0, 3, 22, 7, traj::CaptureSide::kNorth, 3, "NORTH");
   defineGroup(9.0, 4, 29, 7, traj::CaptureSide::kSouth, 4, "SOUTH");
   // Fig. 5: brush the west half red to test the homing hypothesis.
-  script.record(30.0, ui::BrushStrokeEvent{0, {-25.0f, 0.0f}, 30.0f},
-                "H: ants captured east exit the arena from the west");
-  script.record(35.0, ui::TimeWindowEvent{0.0f, 1e9f});
-  script.record(60.0, ui::PageEvent{+1}, "V: red concentrated in east bin");
+  script.event(0, 30.0, ui::BrushStrokeEvent{0, {-25.0f, 0.0f}, 30.0f},
+               "H: ants captured east exit the arena from the west");
+  script.event(0, 35.0, ui::TimeWindowEvent{0.0f, 1e9f});
+  script.event(0, 60.0, ui::PageEvent{+1}, "V: red concentrated in east bin");
   return script;
+}
+
+/// Applies a recording's event steps to `app` in order; returns how many
+/// the session accepted.
+std::size_t applyEvents(core::Session& app, const replay::Recording& script) {
+  std::size_t applied = 0;
+  for (const replay::RecordedStep& step : script.steps()) {
+    if (step.kind == replay::StepKind::kEvent && app.apply(step.event)) {
+      ++applied;
+    }
+  }
+  return applied;
 }
 
 class IntegrationTest : public ::testing::Test {
@@ -73,8 +87,8 @@ traj::TrajectoryDataset* IntegrationTest::dataset_ = nullptr;
 TEST_F(IntegrationTest, FullPipelineProducesConsistentFrame) {
   const wall::WallSpec w = miniPaperWall();
   core::Session app(core::SharedContext::create(*dataset_, w));
-  const std::size_t applied = app.applyScript(analystSession());
-  EXPECT_EQ(applied, analystSession().size());
+  const std::size_t applied = applyEvents(app, analystSession());
+  EXPECT_EQ(applied, analystSession().eventCount());
 
   // 432 cells over 500 trajectories: paper's ~85% coverage headline.
   const render::SceneModel scene = app.buildScene();
@@ -111,7 +125,7 @@ TEST_F(IntegrationTest, FullPipelineProducesConsistentFrame) {
 TEST_F(IntegrationTest, ClusterRenderMatchesReferenceBothEyes) {
   const wall::WallSpec w = miniPaperWall();
   core::Session app(core::SharedContext::create(*dataset_, w));
-  app.applyScript(analystSession());
+  applyEvents(app, analystSession());
   const render::SceneModel scene = app.buildScene();
 
   cluster::ClusterOptions options;
@@ -159,7 +173,8 @@ TEST_F(IntegrationTest, SessionCodingMatchesScriptAnnotations) {
   const auto counts = log.tagCounts();
   EXPECT_EQ(counts.at(study::CodingTag::kHypothesis), 1u);
   EXPECT_EQ(counts.at(study::CodingTag::kConclusion), 1u);
-  EXPECT_EQ(counts.at(study::CodingTag::kToolUse), analystSession().size());
+  EXPECT_EQ(counts.at(study::CodingTag::kToolUse),
+            analystSession().eventCount());
   // The hypothesis gets tested quickly (brush right at formulation).
   const auto delays = log.hypothesisToTestDelays();
   ASSERT_FALSE(delays.empty());
@@ -169,13 +184,13 @@ TEST_F(IntegrationTest, SessionCodingMatchesScriptAnnotations) {
 TEST_F(IntegrationTest, ScriptPersistenceRoundTripDrivesSameState) {
   const wall::WallSpec w = miniPaperWall();
   const auto script = analystSession();
-  const auto restored = ui::InputScript::deserialize(script.serialize());
+  const auto restored = replay::Recording::deserialize(script.serialize());
   ASSERT_TRUE(restored.has_value());
 
   core::Session a(core::SharedContext::create(*dataset_, w));
   core::Session b(core::SharedContext::create(*dataset_, w));
-  a.applyScript(script);
-  b.applyScript(*restored);
+  applyEvents(a, script);
+  applyEvents(b, *restored);
   const auto sceneA = a.buildScene();
   const auto sceneB = b.buildScene();
   const auto imgA =

@@ -1,17 +1,24 @@
 // Unit tests for the replay container (replay::Recording), the live
 // service recorder (replay::Recorder over core::SessionService hooks),
-// and InputScript's timestamp-ordering contract.
+// the pilot-study scenario and the runner's timing log.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 
 #include "core/sessionservice.h"
 #include "replay/recording.h"
+#include "replay/runner.h"
+#include "replay/scenarios.h"
 #include "traj/synth.h"
-#include "ui/script.h"
 #include "util/clock.h"
 
 namespace svq::replay {
@@ -643,90 +650,85 @@ TEST(RecorderTest, IgnoresTenantsAdmittedBeforeAttach) {
   EXPECT_EQ(rec.steps()[1].tenant, 0u);
 }
 
-TEST(RecordingTest, FromScriptAdmitsTrackZeroAndKeepsEventOrder) {
-  ui::InputScript script;
-  script.record(1.0, ui::BrushStrokeEvent{0, {0, 0}, 5}, "first");
-  script.record(2.0, ui::PageEvent{1});
-  WorldSpec spec;
-  const Recording rec = Recording::fromScript(spec, script);
-  ASSERT_EQ(rec.size(), 3u);
-  EXPECT_EQ(rec.steps()[0].kind, StepKind::kAdmit);
-  EXPECT_DOUBLE_EQ(rec.steps()[0].timeS, 1.0);
-  EXPECT_EQ(ui::eventTypeName(rec.steps()[1].event), "brush_stroke");
-  EXPECT_EQ(rec.steps()[1].note, "first");
-  EXPECT_EQ(ui::eventTypeName(rec.steps()[2].event), "page");
+TEST(RecordingTest, FileRoundTrip) {
+  const Recording rec = sampleRecording();
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("svq_recording_test_" + std::to_string(::getpid()) + ".svqr"))
+          .string();
+  ASSERT_TRUE(rec.saveBinary(path));
+  const auto loaded = Recording::loadBinary(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->serialize().bytes(), rec.serialize().bytes());
+  EXPECT_EQ(loaded->steps()[2].note, "west");
+}
+
+TEST(RecordingTest, LoadMissingFileFails) {
+  EXPECT_FALSE(Recording::loadBinary("/no/such/file.svqr").has_value());
+}
+
+TEST(PilotStudyScenarioTest, AdmitsTrackZeroAndKeepsEventOrder) {
+  const Recording rec = scenarios::pilotStudy();
+  ASSERT_EQ(rec.size(), 22u);
+  EXPECT_EQ(rec.eventCount(), 21u);
   EXPECT_EQ(rec.tenantCount(), 1u);
-}
-
-// --- InputScript timestamp ordering (the record() contract) -----------------
-
-TEST(InputScriptOrderTest, MonotonicRecordsAppendInOrder) {
-  ui::InputScript script;
-  script.record(1.0, ui::PageEvent{1});
-  script.record(2.0, ui::PageEvent{-1});
-  script.record(2.0, ui::BrushClearEvent{0});  // equal stamp: keeps order
-  script.record(3.0, ui::TimeScaleEvent{0.5f});
-  ASSERT_EQ(script.size(), 4u);
-  EXPECT_DOUBLE_EQ(script.events()[0].timeS, 1.0);
-  EXPECT_EQ(ui::eventTypeName(script.events()[1].event), "page");
-  EXPECT_EQ(ui::eventTypeName(script.events()[2].event), "brush_clear");
-  EXPECT_DOUBLE_EQ(script.durationS(), 3.0);
-}
-
-TEST(InputScriptOrderTest, OutOfOrderRecordsAreStablyInserted) {
-  ui::InputScript script;
-  script.record(1.0, ui::PageEvent{1});
-  script.record(3.0, ui::PageEvent{-1});
-  script.record(2.0, ui::BrushClearEvent{0});   // lands between
-  script.record(1.0, ui::TimeScaleEvent{0.5f});  // after the existing 1.0
-  ASSERT_EQ(script.size(), 4u);
-  EXPECT_EQ(ui::eventTypeName(script.events()[0].event), "page");
-  EXPECT_EQ(ui::eventTypeName(script.events()[1].event), "time_scale");
-  EXPECT_EQ(ui::eventTypeName(script.events()[2].event), "brush_clear");
-  EXPECT_EQ(ui::eventTypeName(script.events()[3].event), "page");
-  double last = -1.0;
-  for (const ui::TimedEvent& e : script.events()) {
-    EXPECT_LE(last, e.timeS);
-    last = e.timeS;
+  EXPECT_EQ(rec.steps()[0].kind, StepKind::kAdmit);
+  EXPECT_DOUBLE_EQ(rec.steps()[0].timeS, 0.0);
+  EXPECT_EQ(ui::eventTypeName(rec.steps()[1].event), "layout_switch");
+  EXPECT_EQ(rec.steps()[1].note, "switch to 36x12 layout");
+  EXPECT_DOUBLE_EQ(rec.steps().back().timeS, 420.0);
+  double last = 0.0;
+  for (const RecordedStep& step : rec.steps()) {
+    EXPECT_EQ(step.tenant, 0u);
+    EXPECT_LE(last, step.timeS);
+    last = step.timeS;
   }
 }
 
-TEST(InputScriptOrderTest, NonFiniteStampsAreClampedToScriptEnd) {
-  ui::InputScript script;
-  script.record(std::numeric_limits<double>::quiet_NaN(), ui::PageEvent{1});
-  EXPECT_DOUBLE_EQ(script.events()[0].timeS, 0.0);
-  script.record(5.0, ui::PageEvent{-1});
-  script.record(std::numeric_limits<double>::infinity(),
-                ui::BrushClearEvent{0});
-  ASSERT_EQ(script.size(), 3u);
-  EXPECT_DOUBLE_EQ(script.events()[2].timeS, 5.0);
-  EXPECT_DOUBLE_EQ(script.durationS(), 5.0);
-  // The clamped script still round-trips (serialization would reject a
-  // non-finite stamp).
-  EXPECT_TRUE(ui::InputScript::deserialize(script.serialize()).has_value());
+TEST(RunnerTimingLogTest, NamesTheScenarioAndEveryCounter) {
+  Runner runner(scenarios::canonical());
+  const RunReport report = runner.run();
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("svq_timing_log_test_" + std::to_string(::getpid()) + ".json"))
+          .string();
+  ASSERT_TRUE(report.writeTimingLog(path, "canonical"));
+  std::ifstream in(path);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  in.close();
+  std::remove(path.c_str());
+
+  EXPECT_NE(json.find("\"name\": \"canonical\""), std::string::npos);
+  EXPECT_NE(json.find("\"median_ms\": "), std::string::npos);
+  EXPECT_NE(json.find("\"p95_ms\": "), std::string::npos);
+  // The keys scripts/perf_smoke.py --info and the CI replay-timing step
+  // read: all sixteen, each exactly once.
+  for (const char* key :
+       {"steps", "events_applied", "events_rejected", "events_shed",
+        "events_submitted", "refine_steps", "shards_refined",
+        "apply_us_total", "apply_us_p95", "build_us_total", "build_us_p95",
+        "raster_us_total", "raster_us_p95", "packets_dropped", "resyncs",
+        "total_ms"}) {
+    const std::string quoted = "\"" + std::string(key) + "\": ";
+    const std::size_t at = json.find(quoted);
+    ASSERT_NE(at, std::string::npos) << key;
+    EXPECT_EQ(json.find(quoted, at + 1), std::string::npos) << key;
+  }
+  char steps[64];
+  std::snprintf(steps, sizeof steps, "\"steps\": %zu.000000",
+                report.steps.size());
+  EXPECT_NE(json.find(steps), std::string::npos) << json;
+  char applied[64];
+  std::snprintf(applied, sizeof applied, "\"events_applied\": %zu.000000",
+                report.eventsApplied);
+  EXPECT_NE(json.find(applied), std::string::npos) << json;
 }
 
-TEST(InputScriptOrderTest, DeserializeRejectsNonFiniteStampsAndHostileCounts) {
-  ui::InputScript script;
-  script.record(1.0, ui::PageEvent{1});
-  script.record(2.0, ui::PageEvent{-1});
-  const net::MessageBuffer buf = script.serialize();
-
-  {  // NaN stamp in the wire bytes (bit-flip territory)
-    std::vector<std::uint8_t> corrupt(buf.bytes());
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    std::memcpy(corrupt.data() + 8, &nan, sizeof nan);  // first stamp
-    EXPECT_FALSE(
-        ui::InputScript::deserialize(net::MessageBuffer(std::move(corrupt))));
-  }
-  {  // count field far beyond what the payload can hold
-    std::vector<std::uint8_t> corrupt(buf.bytes());
-    const std::uint32_t huge = 0x7FFFFFFFu;
-    std::memcpy(corrupt.data() + 4, &huge, sizeof huge);
-    EXPECT_FALSE(
-        ui::InputScript::deserialize(net::MessageBuffer(std::move(corrupt))));
-  }
-  EXPECT_TRUE(ui::InputScript::deserialize(buf).has_value());
+TEST(RunnerTimingLogTest, UnwritablePathFails) {
+  const RunReport report;
+  EXPECT_FALSE(report.writeTimingLog("/no/such/dir/t.json", "canonical"));
 }
 
 }  // namespace

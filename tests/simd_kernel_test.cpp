@@ -210,9 +210,6 @@ TEST(FillCopyRowKernelFuzzTest, AllVariantsBitIdenticalToScalar) {
 
 // ---- PointsView / SoA round-trip ----------------------------------------
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 TEST(PointsViewRoundTripTest, SoAStorageMatchesLegacyAoS) {
   Rng rng(0x50aULL);
   for (int iter = 0; iter < 200; ++iter) {
@@ -245,18 +242,15 @@ TEST(PointsViewRoundTripTest, SoAStorageMatchesLegacyAoS) {
       EXPECT_EQ(traj.back(), aos.back());
     }
 
-    // The deprecated AoS escape hatch round-trips exactly.
-    EXPECT_EQ(traj.pointsAoS(), aos);
-
     // appendPoint builds the same trajectory as bulk construction.
     traj::Trajectory incremental;
     for (const auto& p : aos) incremental.appendPoint(p);
-    EXPECT_EQ(incremental.pointsAoS(), aos);
-    EXPECT_EQ(incremental.size(), n);
+    ASSERT_EQ(incremental.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(incremental[i], aos[i]);
+    }
   }
 }
-
-#pragma GCC diagnostic pop
 
 TEST(PointsViewTest, ChannelsAreContiguousAndDisjoint) {
   traj::Trajectory t;

@@ -91,16 +91,18 @@ TEST(SessionLogTest, SummaryReportMentionsCounts) {
   EXPECT_NE(report.find("formulate->test"), std::string::npos);
 }
 
-ui::InputScript annotatedScript() {
-  ui::InputScript script;
-  script.record(0.0, ui::LayoutSwitchEvent{2});
-  script.record(5.0, ui::GroupDefineEvent{}, "C: comparing east vs west");
-  script.record(20.0, ui::BrushStrokeEvent{0, {-25.0f, 0.0f}, 10.0f},
-                "H: east-captured ants exit west");
-  script.record(22.0, ui::BrushStrokeEvent{0, {-25.0f, 10.0f}, 10.0f});
-  script.record(25.0, ui::TimeWindowEvent{50.0f, 60.0f});
-  script.record(40.0, ui::PageEvent{}, "V: hypothesis confirmed");
-  script.record(50.0, ui::DepthOffsetEvent{}, "O: trajectories look windy");
+replay::Recording annotatedScript() {
+  replay::Recording script;
+  script.admit(0, 0.0);
+  script.event(0, 0.0, ui::LayoutSwitchEvent{2});
+  script.event(0, 5.0, ui::GroupDefineEvent{}, "C: comparing east vs west");
+  script.event(0, 20.0, ui::BrushStrokeEvent{0, {-25.0f, 0.0f}, 10.0f},
+               "H: east-captured ants exit west");
+  script.event(0, 22.0, ui::BrushStrokeEvent{0, {-25.0f, 10.0f}, 10.0f});
+  script.event(0, 25.0, ui::TimeWindowEvent{50.0f, 60.0f});
+  script.event(0, 40.0, ui::PageEvent{}, "V: hypothesis confirmed");
+  script.event(0, 50.0, ui::DepthOffsetEvent{}, "O: trajectories look windy");
+  script.close(0, 60.0);
   return script;
 }
 
@@ -116,7 +118,7 @@ TEST(AutoCodeTest, NotesBecomeTags) {
 TEST(AutoCodeTest, EveryEventIsToolUse) {
   const auto script = annotatedScript();
   const SessionLog log = autoCode(script);
-  EXPECT_EQ(log.tagCounts().at(CodingTag::kToolUse), script.size());
+  EXPECT_EQ(log.tagCounts().at(CodingTag::kToolUse), script.eventCount());
 }
 
 TEST(AutoCodeTest, QueryToolsAfterHypothesisAreTests) {
@@ -126,17 +128,17 @@ TEST(AutoCodeTest, QueryToolsAfterHypothesisAreTests) {
 }
 
 TEST(AutoCodeTest, ConclusionClosesHypothesis) {
-  ui::InputScript script;
-  script.record(0.0, ui::BrushStrokeEvent{}, "H: something");
-  script.record(1.0, ui::PageEvent{}, "V: done");
-  script.record(2.0, ui::BrushStrokeEvent{});  // after verdict: not a test
+  replay::Recording script;
+  script.event(0, 0.0, ui::BrushStrokeEvent{}, "H: something");
+  script.event(0, 1.0, ui::PageEvent{}, "V: done");
+  script.event(0, 2.0, ui::BrushStrokeEvent{});  // after verdict: not a test
   const SessionLog log = autoCode(script);
   EXPECT_EQ(log.tagCounts().at(CodingTag::kHypothesisTest), 1u);
 }
 
 TEST(AutoCodeTest, StrippedTagTextPreserved) {
-  ui::InputScript script;
-  script.record(0.0, ui::PageEvent{}, "O: on-trail ants are windier");
+  replay::Recording script;
+  script.event(0, 0.0, ui::PageEvent{}, "O: on-trail ants are windier");
   const SessionLog log = autoCode(script);
   bool found = false;
   for (const CodedEvent& e : log.events()) {
@@ -154,6 +156,33 @@ TEST(AutoCodeTest, StageCountsPopulated) {
   EXPECT_GT(stages.at(SensemakingStage::kVisualize), 0u);
   EXPECT_GT(stages.at(SensemakingStage::kSchematize), 0u);
   EXPECT_GT(stages.at(SensemakingStage::kBuildCase), 0u);
+}
+
+TEST(AutoCodeTest, CodesOnlyEventStepsOfOneTenantSlice) {
+  // Two analysts interleaved through one service: each is coded alone
+  // through its tenant slice, and non-event steps carry nothing to code.
+  replay::Recording rec;
+  rec.admit(0, 0.0);
+  rec.admit(1, 0.0);
+  rec.event(0, 1.0, ui::BrushStrokeEvent{}, "H: west exits");
+  rec.event(1, 2.0, ui::PageEvent{}, "O: windy");
+  rec.submit(0, 3.0, ui::PageEvent{}, "C: queued, not applied");
+  rec.refine(0, 4.0, 2);
+  rec.event(0, 5.0, ui::TimeWindowEvent{0.0f, 10.0f});
+  rec.close(1, 6.0);
+
+  const SessionLog first = autoCode(rec.tenantSlice(0));
+  const auto counts = first.tagCounts();
+  EXPECT_EQ(counts.at(CodingTag::kToolUse), 2u);
+  EXPECT_EQ(counts.at(CodingTag::kHypothesis), 1u);
+  EXPECT_EQ(counts.at(CodingTag::kHypothesisTest), 2u);
+  EXPECT_EQ(counts.count(CodingTag::kObservation), 0u);
+  EXPECT_EQ(counts.count(CodingTag::kComparison), 0u);
+  EXPECT_DOUBLE_EQ(first.durationS(), 5.0);
+
+  const SessionLog second = autoCode(rec.tenantSlice(1));
+  EXPECT_EQ(second.tagCounts().at(CodingTag::kObservation), 1u);
+  EXPECT_EQ(second.tagCounts().at(CodingTag::kToolUse), 1u);
 }
 
 }  // namespace
